@@ -1,6 +1,7 @@
 #include "gnnbench/core/common.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace gnnbench {
 namespace core {
@@ -9,7 +10,12 @@ void
 fatal(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    std::fflush(stdout);
+    std::fflush(stderr);
+    // _Exit, not exit: static destructors must not run.  The thread
+    // pool's would join worker threads that a forked child does not
+    // have, or that wait on a parallel region this call is inside.
+    std::_Exit(1);
 }
 
 void

@@ -35,6 +35,20 @@ checkSameShape(const Tensor &a, const Tensor &b, const char *op)
                    a.cols(), " vs ", b.rows(), "x", b.cols());
 }
 
+/** The loss and accuracy ops read labels[r] for every selected row r
+ *  of @p logits; reject a mismatch before any parallel region. */
+void
+checkLabelRows(const Tensor &logits, const std::vector<int32_t> &labels,
+               const std::vector<NodeId> &rows, const char *op)
+{
+    GNNBENCH_CHECK(static_cast<int64_t>(labels.size()) == logits.rows(),
+                   op, ": ", labels.size(), " labels for ",
+                   logits.rows(), " rows");
+    for (NodeId r : rows)
+        GNNBENCH_CHECK(r >= 0 && r < logits.rows(), op, ": row ", r,
+                       " out of range [0, ", logits.rows(), ")");
+}
+
 } // namespace
 
 Tensor
@@ -382,6 +396,7 @@ float
 nllLoss(const Tensor &logprob, const std::vector<int32_t> &labels,
         const std::vector<NodeId> &rows)
 {
+    checkLabelRows(logprob, labels, rows, "nllLoss");
     auto row_term = [&](int64_t r) {
         const int32_t y = labels[r];
         GNNBENCH_ASSERT(y >= 0 && y < logprob.cols(), "label ", y,
@@ -414,6 +429,7 @@ Tensor
 nllLossGrad(const Tensor &logprob, const std::vector<int32_t> &labels,
             const std::vector<NodeId> &rows)
 {
+    checkLabelRows(logprob, labels, rows, "nllLossGrad");
     Tensor g(logprob.rows(), logprob.cols());
     const int64_t count =
         rows.empty() ? logprob.rows() : static_cast<int64_t>(rows.size());
@@ -525,6 +541,7 @@ int64_t
 countCorrect(const Tensor &logits, const std::vector<int32_t> &labels,
              const std::vector<NodeId> &rows)
 {
+    checkLabelRows(logits, labels, rows, "countCorrect");
     auto row_hit = [&](int64_t r) -> int64_t {
         const float *row = logits.row(r);
         int64_t best = 0;

@@ -40,11 +40,41 @@ writeVec(std::ostream &out, const std::vector<T> &v)
                   static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/** Bytes between the read position and the end of @p in. */
+uint64_t
+bytesLeft(std::istream &in)
+{
+    const std::streampos pos = in.tellg();
+    GNNBENCH_CHECK(pos >= 0, "serialized stream is not seekable");
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(pos);
+    GNNBENCH_CHECK(in.good() && end >= pos,
+                   "serialized stream is not seekable");
+    return static_cast<uint64_t>(end - pos);
+}
+
+/**
+ * Fail cleanly unless @p count items of at least @p item_bytes each
+ * fit in the rest of @p in — a length prefix read from a file must not
+ * size an allocation before the data behind it is known to exist.
+ */
+void
+checkLength(std::istream &in, uint64_t count, uint64_t item_bytes,
+            const char *what)
+{
+    const uint64_t left = bytesLeft(in);
+    GNNBENCH_CHECK(count <= left / item_bytes,
+                   "serialized file truncated: ", what, " length ", count,
+                   " exceeds the ", left, " bytes left");
+}
+
 template <typename T>
 std::vector<T>
 readVec(std::istream &in)
 {
     const auto n = readPod<uint64_t>(in);
+    checkLength(in, n, sizeof(T), "array");
     std::vector<T> v(n);
     if (n > 0) {
         in.read(reinterpret_cast<char *>(v.data()),
@@ -65,6 +95,7 @@ std::string
 readString(std::istream &in)
 {
     const auto n = readPod<uint64_t>(in);
+    checkLength(in, n, 1, "string");
     std::string s(n, '\0');
     if (n > 0) {
         in.read(s.data(), static_cast<std::streamsize>(n));
@@ -135,6 +166,12 @@ readTensor(std::istream &in)
     const auto cols = readPod<int64_t>(in);
     GNNBENCH_CHECK(rows >= 0 && cols >= 0,
                    "serialized tensor has invalid shape");
+    // rows * cols floats must fit in what is left; dividing first
+    // keeps the product from overflowing.
+    if (cols > 0)
+        checkLength(in, static_cast<uint64_t>(rows),
+                    static_cast<uint64_t>(cols) * sizeof(float),
+                    "tensor");
     core::Tensor t = core::Tensor::empty(rows, cols);
     if (t.numel() > 0) {
         in.read(reinterpret_cast<char *>(t.data()),
@@ -197,6 +234,13 @@ loadDatasetFile(const std::string &path)
                        ds.labels.size() ==
                            static_cast<size_t>(ds.graph.numNodes),
                    "dataset sections inconsistent in '", path, "'");
+    for (int32_t y : ds.labels)
+        GNNBENCH_CHECK(y >= 0 && y < classes, "label ", y,
+                       " out of range in '", path, "'");
+    for (const auto *split : {&ds.trainIdx, &ds.valIdx, &ds.testIdx})
+        for (NodeId v : *split)
+            GNNBENCH_CHECK(v >= 0 && v < ds.graph.numNodes, "split node ",
+                           v, " out of range in '", path, "'");
     return ds;
 }
 
@@ -245,6 +289,8 @@ readCsr(std::istream &in)
     g.numCols = readPod<NodeId>(in);
     GNNBENCH_CHECK(g.numRows >= 0 && g.numCols >= 0,
                    "serialized CSR has invalid shape");
+    // Every row costs at least one byte in either storage mode.
+    checkLength(in, static_cast<uint64_t>(g.numRows), 1, "CSR row");
     if (mode == CsrStorageMode::Raw) {
         g.indptr = readVec<EdgeId>(in);
         g.indices = readVec<NodeId>(in);
@@ -254,11 +300,15 @@ readCsr(std::istream &in)
     GNNBENCH_CHECK(mode == CsrStorageMode::DeltaVarint,
                    "serialized CSR has unknown storage mode");
     const auto nnz = readPod<uint64_t>(in);
+    // Each index is a varint of at least one byte.
+    checkLength(in, nnz, 1, "CSR index");
     g.indptr.resize(static_cast<size_t>(g.numRows) + 1);
     g.indices.reserve(nnz);
     g.indptr[0] = 0;
     for (NodeId r = 0; r < g.numRows; ++r) {
         const auto deg = readVarint(in);
+        GNNBENCH_CHECK(deg <= nnz - g.indices.size(),
+                       "serialized CSR nnz mismatch");
         int64_t prev = static_cast<int64_t>(r);
         for (uint64_t k = 0; k < deg; ++k) {
             prev += zigzagDecode(readVarint(in));

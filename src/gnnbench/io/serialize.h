@@ -44,7 +44,10 @@ enum class CsrStorageMode : uint32_t
 void writeCsr(std::ostream &out, const graph::CsrGraph &g,
               CsrStorageMode mode = CsrStorageMode::Raw);
 
-/** Deserialize a CSR written by writeCsr (mode is self-describing). */
+/** Deserialize a CSR written by writeCsr (mode is self-describing).
+ *  @p in must be seekable: every length prefix is checked against
+ *  the bytes left before anything is allocated.  Fatal on corruption
+ *  or truncation. */
 graph::CsrGraph readCsr(std::istream &in);
 
 /** writeCsr to a file with a magic/version header. */
@@ -57,7 +60,8 @@ graph::CsrGraph loadCsr(const std::string &path);
 /** Serialize one tensor (shape + raw float32 data). */
 void writeTensor(std::ostream &out, const core::Tensor &t);
 
-/** Deserialize one tensor; fatal on truncation. */
+/** Deserialize one tensor from a seekable stream; fatal on
+ *  truncation or a shape larger than the rest of the stream. */
 core::Tensor readTensor(std::istream &in);
 
 /** Save a dataset (graph, features, labels, splits) to @p path. */

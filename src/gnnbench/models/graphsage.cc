@@ -1,323 +1,76 @@
 #include "gnnbench/models/graphsage.h"
 
-#include "gnnbench/core/optim.h"
-#include "gnnbench/dglx/dataloader.h"
-#include "gnnbench/dglx/gpu_sampler.h"
-#include "gnnbench/dglx/nn.h"
-#include "gnnbench/models/feature_fetch.h"
-#include "gnnbench/pygx/dataloader.h"
-#include "gnnbench/pygx/nn.h"
-#include "gnnbench/pygx/sampler.h"
+#include "gnnbench/models/driver.h"
 
 namespace gnnbench {
 namespace models {
 
-namespace ag = core::ag;
-using profiling::Phase;
-
 namespace {
 
-/** Labels of the seed nodes, in batch order. */
-std::vector<int32_t>
-seedLabels(const std::vector<int32_t> &labels,
-           const std::vector<NodeId> &seeds)
+/** GraphSAGE model spec (driver.h): two SAGE layers over sampled
+ *  blocks, loss on every seed of the batch. */
+template <typename B>
+struct Sage
 {
-    std::vector<int32_t> out(seeds.size());
-    for (size_t i = 0; i < seeds.size(); ++i)
-        out[i] = labels[seeds[i]];
-    return out;
-}
+    using Conv = typename B::SageConv;
 
-TrainResult
-runDglx(const graph::Dataset &dataset, const TrainConfig &cfg,
-        device::Session &session, profiling::PhaseTracker &tracker)
-{
-    GNNBENCH_CHECK(cfg.fanouts.size() == 2,
-                   "GraphSAGE model uses two layers / two fanouts");
-    core::Rng rng(cfg.seed);
-
-    dglx::LoadedData ld;
+    static void
+    check(const TrainConfig &cfg)
     {
-        auto s = tracker.track(Phase::DataLoading);
-        ld = dglx::DataLoader::load(dataset);
-    }
-    const dglx::Graph &g = *ld.graph;
-
-    const auto train_dev = usesGpu(cfg.mode)
-                               ? device::DeviceType::GPU
-                               : device::DeviceType::CPU;
-    dglx::KernelCtx ctx{&session, train_dev, dglx::Costs{}};
-
-    core::Rng wrng = rng.fork();
-    dglx::SageConv layer1(dataset.info.numFeatures, cfg.hiddenDim,
-                          wrng);
-    dglx::SageConv layer2(cfg.hiddenDim, dataset.info.numClasses,
-                          wrng);
-    std::vector<ag::Var> params = layer1.params();
-    params.insert(params.end(), layer2.params().begin(),
-                  layer2.params().end());
-    core::Adam opt(params, cfg.lr);
-
-    // One-time data movement: initial model, plus graph + features
-    // when pre-loading (mandatory for the GPU-resident sampler).
-    // The feature matrix is registered with the memory hierarchy so
-    // per-batch gathers walk the cache tiers; pre-loading streams its
-    // tiles into the VRAM tier up front.
-    const bool preloaded =
-        cfg.preloadFeatures || cfg.mode == RunMode::GPU;
-    device::FeatureRegion feat_region;
-    if (usesGpu(cfg.mode)) {
-        auto s = tracker.track(Phase::DataMovement);
-        feat_region = session.registerRegion(ld.features.rows(),
-                                             ld.features.cols() * 4);
-        uint64_t bytes = layer1.paramBytes() + layer2.paramBytes();
-        if (preloaded) {
-            bytes += g.structureBytes();
-            session.preloadRegion(feat_region);
-        }
-        session.transfer(bytes);
-        const uint64_t resident =
-            bytes + (preloaded ? ld.features.bytes() : 0);
-        GNNBENCH_CHECK(session.reserveGpu(resident),
-                       "graph + features exceed GPU memory; "
-                       "pre-loading infeasible");
+        GNNBENCH_CHECK(cfg.fanouts.size() == 2,
+                       "GraphSAGE model uses two layers / two fanouts");
+        GNNBENCH_CHECK(B::kDeviceSampler || cfg.mode == RunMode::CPU ||
+                           cfg.mode == RunMode::CPUGPU,
+                       "PyG has no GPU/UVA sampler (paper Section 4.3)");
+        GNNBENCH_CHECK(cfg.batchSize > 0, "batch size must be positive");
     }
 
-    // Sampler construction (cheap for dglx).
-    std::unique_ptr<dglx::NeighborSampler> cpu_sampler;
-    std::unique_ptr<dglx::GpuNeighborSampler> gpu_sampler;
+    Sage(const typename B::Loaded &ld, const graph::Dataset &,
+         const TrainConfig &cfg, core::Rng rng, device::Session &session)
+        : trainIdx(ld.trainIdx),
+          batchesPerEpoch(static_cast<int>(
+              (trainIdx.size() + cfg.batchSize - 1) / cfg.batchSize)),
+          sampler(B::neighborSampler(ld, cfg, rng, session))
     {
-        auto s = tracker.track(Phase::Sampling);
-        core::Rng srng = rng.fork();
-        if (cfg.mode == RunMode::GPU ||
-            cfg.mode == RunMode::UVAGPU) {
-            const auto gmode = cfg.mode == RunMode::GPU
-                                   ? dglx::GpuNeighborSampler::
-                                         Mode::GpuResident
-                                   : dglx::GpuNeighborSampler::
-                                         Mode::Uva;
-            gpu_sampler = std::make_unique<dglx::GpuNeighborSampler>(
-                g, cfg.fanouts, srng, gmode, session);
-        } else {
-            cpu_sampler = std::make_unique<dglx::NeighborSampler>(
-                g, cfg.fanouts, srng);
-        }
     }
 
-    TrainResult result;
-    double prev_train_seconds = 0.0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-        EpochStats es;
-        auto seed_batches =
-            makeBatches(ld.trainIdx, cfg.batchSize, rng);
-        // CPU sampling always goes through the loader so batch RNG
-        // streams depend only on batch index: num_workers scales
-        // prefetch overlap (0 = inline) without changing results.
-        std::unique_ptr<dglx::NeighborLoader> loader;
-        if (cpu_sampler) {
-            auto s = tracker.track(Phase::Sampling);
-            loader = std::make_unique<dglx::NeighborLoader>(
-                *cpu_sampler, rng, seed_batches, cfg.numWorkers,
-                cfg.prefetchDepth);
-        }
-        for (auto &seeds : seed_batches) {
-            sampling::NeighborSample smp;
-            {
-                auto s = tracker.track(Phase::Sampling);
-                if (loader) {
-                    auto got = loader->next();
-                    GNNBENCH_CHECK(got.has_value(),
-                                   "prefetch loader exhausted early");
-                    smp = std::move(*got);
-                } else {
-                    smp = gpu_sampler->sample(seeds);
-                }
-            }
-            // The GPU-resident sampler already produces the blocks in
-            // device memory; otherwise the structure must move.
-            const uint64_t structure_bytes =
-                (cfg.mode == RunMode::GPU ||
-                 cfg.mode == RunMode::UVAGPU)
-                    ? 0
-                    : smp.structureBytes();
-            core::Tensor x = fetchFeatures(
-                ld.features, smp.inputNodes(), cfg.mode, preloaded,
-                cfg.prefetch, prev_train_seconds, session, tracker,
-                structure_bytes, &feat_region);
-
-            const auto t0 = session.snapshot();
-            {
-                auto s = tracker.track(Phase::Training);
-                ag::Var xv = ag::leaf(std::move(x), false);
-                ag::Var h =
-                    layer1.forwardBlock(smp.blocks[0], xv, ctx);
-                h = ag::relu(h);
-                ag::Var out =
-                    layer2.forwardBlock(smp.blocks[1], h, ctx);
-                ag::Var lp = ag::logSoftmax(out);
-                auto labels = seedLabels(ld.labels, seeds);
-                es.correct += core::ops::countCorrect(out->value,
-                                                      labels, {});
-                es.total +=
-                    static_cast<int64_t>(seeds.size());
-                ag::Var loss = ag::nllLoss(lp, std::move(labels), {});
-                es.loss += loss->value(0, 0) *
-                           static_cast<double>(seeds.size());
-                opt.zeroGrad();
-                ag::backward(loss);
-                opt.step();
-            }
-            prev_train_seconds =
-                device::Session::virtualSeconds(t0,
-                                                session.snapshot());
-        }
-        if (loader)
-            chargeWorkerSampling(tracker, *loader);
-        es.loss /= std::max<int64_t>(es.total, 1);
-        result.epochs.push_back(es);
-    }
-
-    TrainResult final = finalizeResult(Framework::Dglx, cfg.mode,
-                                       tracker, power::PowerSpec{});
-    final.epochs = std::move(result.epochs);
-    return final;
-}
-
-TrainResult
-runPygx(const graph::Dataset &dataset, const TrainConfig &cfg,
-        device::Session &session, profiling::PhaseTracker &tracker)
-{
-    GNNBENCH_CHECK(cfg.mode == RunMode::CPU ||
-                       cfg.mode == RunMode::CPUGPU,
-                   "PyG has no GPU/UVA sampler (paper Section 4.3)");
-    core::Rng rng(cfg.seed);
-
-    pygx::LoadedData ld;
+    /** Shuffles the seeds into batches, then builds the loader. */
+    auto
+    loader(const TrainConfig &cfg, core::Rng &rng,
+           device::Session &session)
     {
-        auto s = tracker.track(Phase::DataLoading);
-        ld = pygx::DataLoader::load(dataset);
+        SeedBatches seeds = makeBatches(trainIdx, cfg.batchSize, rng);
+        return B::neighborLoader(sampler, std::move(seeds), rng, cfg,
+                                 session);
     }
 
-    const auto train_dev = usesGpu(cfg.mode)
-                               ? device::DeviceType::GPU
-                               : device::DeviceType::CPU;
-    pygx::KernelCtx ctx{&session, train_dev, pygx::Costs{},
-                        1.0 / dataset.scale};
-
-    core::Rng wrng = rng.fork();
-    pygx::SageConv layer1(dataset.info.numFeatures, cfg.hiddenDim,
-                          wrng);
-    pygx::SageConv layer2(cfg.hiddenDim, dataset.info.numClasses,
-                          wrng);
-    std::vector<ag::Var> params = layer1.params();
-    params.insert(params.end(), layer2.params().begin(),
-                  layer2.params().end());
-    core::Adam opt(params, cfg.lr);
-
-    const bool preloaded = cfg.preloadFeatures;
-    device::FeatureRegion feat_region;
-    if (usesGpu(cfg.mode)) {
-        auto s = tracker.track(Phase::DataMovement);
-        feat_region = session.registerRegion(ld.features.rows(),
-                                             ld.features.cols() * 4);
-        uint64_t bytes = layer1.paramBytes() + layer2.paramBytes();
-        if (preloaded) {
-            bytes += ld.data->structureBytes();
-            session.preloadRegion(feat_region);
-        }
-        session.transfer(bytes);
-        const uint64_t resident =
-            bytes + (preloaded ? ld.features.bytes() : 0);
-        GNNBENCH_CHECK(session.reserveGpu(resident),
-                       "graph + features exceed GPU memory; "
-                       "pre-loading infeasible");
-    }
-
-    std::unique_ptr<pygx::NeighborSampler> sampler;
+    static const std::vector<NodeId> &
+    inputNodes(const auto &batch)
     {
-        // Includes the CSR->CSC conversion PyG's loader performs.
-        auto s = tracker.track(Phase::Sampling);
-        sampler = std::make_unique<pygx::NeighborSampler>(
-            *ld.data, cfg.fanouts, rng.fork(), &session);
+        return batch.inputNodes();
     }
 
-    TrainResult result;
-    double prev_train_seconds = 0.0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-        EpochStats es;
-        auto seed_batches =
-            makeBatches(ld.trainIdx, cfg.batchSize, rng);
-        // All sampling goes through the loader so batch RNG streams
-        // depend only on batch index: num_workers scales prefetch
-        // overlap (0 = inline) without changing results; next()
-        // charges the workers' modeled interpreter time here.
-        std::unique_ptr<pygx::NeighborLoader> loader;
-        {
-            auto s = tracker.track(Phase::Sampling);
-            loader = std::make_unique<pygx::NeighborLoader>(
-                *sampler, rng, seed_batches, cfg.numWorkers,
-                cfg.prefetchDepth, &session);
-        }
-        for (auto &seeds : seed_batches) {
-            pygx::NeighborBatch batch;
-            {
-                auto s = tracker.track(Phase::Sampling);
-                auto got = loader->next();
-                GNNBENCH_CHECK(got.has_value(),
-                               "prefetch loader exhausted early");
-                batch = std::move(*got);
-            }
-            core::Tensor x = fetchFeatures(
-                ld.features, batch.inputNodes(), cfg.mode, preloaded,
-                cfg.prefetch, prev_train_seconds, session, tracker,
-                batch.structureBytes(), &feat_region);
-
-            const auto t0 = session.snapshot();
-            {
-                auto s = tracker.track(Phase::Training);
-                ag::Var xv = ag::leaf(std::move(x), false);
-                ag::Var h =
-                    layer1.forwardLayer(batch.layers[0], xv, ctx);
-                h = ag::relu(h);
-                ag::Var out =
-                    layer2.forwardLayer(batch.layers[1], h, ctx);
-                ag::Var lp = ag::logSoftmax(out);
-                auto labels = seedLabels(ld.labels, seeds);
-                es.correct += core::ops::countCorrect(out->value,
-                                                      labels, {});
-                es.total += static_cast<int64_t>(seeds.size());
-                ag::Var loss = ag::nllLoss(lp, std::move(labels), {});
-                es.loss += loss->value(0, 0) *
-                           static_cast<double>(seeds.size());
-                opt.zeroGrad();
-                ag::backward(loss);
-                opt.step();
-            }
-            prev_train_seconds =
-                device::Session::virtualSeconds(t0,
-                                                session.snapshot());
-        }
-        chargeWorkerSampling(tracker, *loader);
-        es.loss /= std::max<int64_t>(es.total, 1);
-        result.epochs.push_back(es);
+    static std::optional<BatchSupervision>
+    supervision(const auto &batch, const std::vector<int32_t> &labels)
+    {
+        BatchSupervision sup;
+        sup.labels.reserve(batch.seeds.size());
+        for (NodeId v : batch.seeds)
+            sup.labels.push_back(labels[v]);
+        return sup;
     }
 
-    TrainResult final = finalizeResult(Framework::Pygx, cfg.mode,
-                                       tracker, power::PowerSpec{});
-    final.epochs = std::move(result.epochs);
-    return final;
-}
+    const std::vector<NodeId> &trainIdx;
+    int batchesPerEpoch;
+    typename B::NeighborSampler sampler;
+};
 
 } // namespace
 
 TrainResult
 trainGraphSage(const graph::Dataset &dataset, const TrainConfig &cfg)
 {
-    device::Session session;
-    profiling::PhaseTracker tracker(session);
-    if (cfg.framework == Framework::Dglx)
-        return runDglx(dataset, cfg, session, tracker);
-    return runPygx(dataset, cfg, session, tracker);
+    return train<Sage>(dataset, cfg);
 }
 
 } // namespace models

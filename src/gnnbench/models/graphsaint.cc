@@ -1,248 +1,58 @@
 #include "gnnbench/models/graphsaint.h"
 
-#include "gnnbench/dglx/dataloader.h"
-#include "gnnbench/dglx/sampler.h"
-#include "gnnbench/models/feature_fetch.h"
-#include "gnnbench/models/induced_step.h"
-#include "gnnbench/pygx/dataloader.h"
-#include "gnnbench/pygx/sampler.h"
+#include "gnnbench/models/driver.h"
 
 namespace gnnbench {
 namespace models {
 
-using profiling::Phase;
-
 namespace {
 
-/** Clamp the paper's root count to small scaled datasets. */
-int32_t
-effectiveRoots(const TrainConfig &cfg, NodeId num_nodes)
+/** GraphSAINT model spec (driver.h): random-walk subgraphs, one pass
+ *  over all nodes per epoch. */
+template <typename B>
+struct Saint : InducedSpec<B>
 {
-    return std::min<int32_t>(cfg.saintRoots,
-                             std::max<NodeId>(1, num_nodes / 4));
-}
-
-TrainResult
-runDglx(const graph::Dataset &dataset, const TrainConfig &cfg,
-        device::Session &session, profiling::PhaseTracker &tracker)
-{
-    core::Rng rng(cfg.seed);
-    dglx::LoadedData ld;
+    static void
+    check(const TrainConfig &cfg)
     {
-        auto s = tracker.track(Phase::DataLoading);
-        ld = dglx::DataLoader::load(dataset);
-    }
-    const auto train_dev = usesGpu(cfg.mode)
-                               ? device::DeviceType::GPU
-                               : device::DeviceType::CPU;
-    dglx::KernelCtx ctx{&session, train_dev, dglx::Costs{}};
-
-    core::Rng wrng = rng.fork();
-    dglx::GcnConv layer1(dataset.info.numFeatures, cfg.hiddenDim,
-                         wrng);
-    dglx::GcnConv layer2(cfg.hiddenDim, dataset.info.numClasses,
-                         wrng);
-    std::vector<core::ag::Var> params = layer1.params();
-    params.insert(params.end(), layer2.params().begin(),
-                  layer2.params().end());
-    core::Adam opt(params, cfg.lr);
-
-    device::FeatureRegion feat_region;
-    if (usesGpu(cfg.mode)) {
-        auto s = tracker.track(Phase::DataMovement);
-        feat_region = session.registerRegion(ld.features.rows(),
-                                             ld.features.cols() * 4);
-        uint64_t bytes = layer1.paramBytes() + layer2.paramBytes();
-        if (cfg.preloadFeatures) {
-            bytes += ld.graph->structureBytes();
-            session.preloadRegion(feat_region);
-        }
-        session.transfer(bytes);
-        const uint64_t resident =
-            bytes + (cfg.preloadFeatures ? ld.features.bytes() : 0);
-        GNNBENCH_CHECK(session.reserveGpu(resident), "GPU memory");
+        GNNBENCH_CHECK(cfg.mode == RunMode::CPU ||
+                           cfg.mode == RunMode::CPUGPU,
+                       "GraphSAINT supports CPU and CPUGPU modes only");
     }
 
-    const int32_t roots = effectiveRoots(cfg, dataset.numNodes());
-    std::unique_ptr<dglx::SaintRwSampler> sampler;
+    Saint(const typename B::Loaded &ld, const graph::Dataset &dataset,
+          const TrainConfig &cfg, core::Rng rng, device::Session &session)
+        : InducedSpec<B>(ld, dataset.numNodes()),
+          // The paper's root count, clamped to small scaled datasets.
+          roots(std::min<int32_t>(
+              cfg.saintRoots,
+              std::max<NodeId>(1, dataset.numNodes() / 4))),
+          batchesPerEpoch(saintBatchesPerEpoch(
+              dataset.numNodes(), roots, cfg.saintWalkLength)),
+          sampler(B::saintSampler(ld, roots, cfg.saintWalkLength, rng,
+                                  session))
     {
-        auto s = tracker.track(Phase::Sampling);
-        sampler = std::make_unique<dglx::SaintRwSampler>(
-            *ld.graph, roots, cfg.saintWalkLength, rng.fork());
-    }
-    const int batches_per_epoch = saintBatchesPerEpoch(
-        dataset.numNodes(), roots, cfg.saintWalkLength);
-
-    const auto mask = trainMask(dataset.numNodes(), ld.trainIdx);
-    TrainResult result;
-    double prev_train_seconds = 0.0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-        EpochStats es;
-        // All sampling goes through the loader; batch RNG streams
-        // depend only on batch index, so num_workers (0 = inline)
-        // never changes results.
-        std::unique_ptr<dglx::InducedLoader> loader;
-        {
-            auto s = tracker.track(Phase::Sampling);
-            loader = std::make_unique<dglx::InducedLoader>(
-                dglx::makeSaintRwLoader(*sampler, rng,
-                                        batches_per_epoch,
-                                        cfg.numWorkers,
-                                        cfg.prefetchDepth));
-        }
-        for (int b = 0; b < batches_per_epoch; ++b) {
-            sampling::InducedSample smp;
-            {
-                auto s = tracker.track(Phase::Sampling);
-                auto got = loader->next();
-                GNNBENCH_CHECK(got.has_value(),
-                               "prefetch loader exhausted early");
-                smp = std::move(*got);
-            }
-            core::Tensor x = fetchFeatures(
-                ld.features, smp.nodes, cfg.mode,
-                cfg.preloadFeatures, cfg.prefetch,
-                prev_train_seconds, session, tracker,
-                smp.structureBytes(), &feat_region);
-            const auto sup =
-                localSupervision(smp.nodes, ld.labels, mask);
-            const auto t0 = session.snapshot();
-            {
-                auto s = tracker.track(Phase::Training);
-                inducedStepDglx(smp, std::move(x), sup, layer1,
-                                layer2, opt, ctx, es);
-            }
-            prev_train_seconds = device::Session::virtualSeconds(
-                t0, session.snapshot());
-        }
-        chargeWorkerSampling(tracker, *loader);
-        es.loss /= std::max<int64_t>(es.total, 1);
-        result.epochs.push_back(es);
     }
 
-    TrainResult final = finalizeResult(Framework::Dglx, cfg.mode,
-                                       tracker, power::PowerSpec{});
-    final.epochs = std::move(result.epochs);
-    return final;
-}
-
-TrainResult
-runPygx(const graph::Dataset &dataset, const TrainConfig &cfg,
-        device::Session &session, profiling::PhaseTracker &tracker)
-{
-    core::Rng rng(cfg.seed);
-    pygx::LoadedData ld;
+    auto
+    loader(const TrainConfig &cfg, core::Rng &rng,
+           device::Session &session)
     {
-        auto s = tracker.track(Phase::DataLoading);
-        ld = pygx::DataLoader::load(dataset);
-    }
-    const auto train_dev = usesGpu(cfg.mode)
-                               ? device::DeviceType::GPU
-                               : device::DeviceType::CPU;
-    pygx::KernelCtx ctx{&session, train_dev, pygx::Costs{},
-                        1.0 / dataset.scale};
-
-    core::Rng wrng = rng.fork();
-    pygx::GcnConv layer1(dataset.info.numFeatures, cfg.hiddenDim,
-                         wrng);
-    pygx::GcnConv layer2(cfg.hiddenDim, dataset.info.numClasses,
-                         wrng);
-    std::vector<core::ag::Var> params = layer1.params();
-    params.insert(params.end(), layer2.params().begin(),
-                  layer2.params().end());
-    core::Adam opt(params, cfg.lr);
-
-    device::FeatureRegion feat_region;
-    if (usesGpu(cfg.mode)) {
-        auto s = tracker.track(Phase::DataMovement);
-        feat_region = session.registerRegion(ld.features.rows(),
-                                             ld.features.cols() * 4);
-        uint64_t bytes = layer1.paramBytes() + layer2.paramBytes();
-        if (cfg.preloadFeatures) {
-            bytes += ld.data->structureBytes();
-            session.preloadRegion(feat_region);
-        }
-        session.transfer(bytes);
-        const uint64_t resident =
-            bytes + (cfg.preloadFeatures ? ld.features.bytes() : 0);
-        GNNBENCH_CHECK(session.reserveGpu(resident), "GPU memory");
+        return B::saintLoader(sampler, rng, batchesPerEpoch, cfg,
+                              session);
     }
 
-    const int32_t roots = effectiveRoots(cfg, dataset.numNodes());
-    std::unique_ptr<pygx::SaintRwSampler> sampler;
-    {
-        auto s = tracker.track(Phase::Sampling);
-        sampler = std::make_unique<pygx::SaintRwSampler>(
-            *ld.data, roots, cfg.saintWalkLength, rng.fork(),
-            &session);
-    }
-    const int batches_per_epoch = saintBatchesPerEpoch(
-        dataset.numNodes(), roots, cfg.saintWalkLength);
-
-    const auto mask = trainMask(dataset.numNodes(), ld.trainIdx);
-    TrainResult result;
-    double prev_train_seconds = 0.0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-        EpochStats es;
-        std::unique_ptr<pygx::EdgeBatchLoader> loader;
-        {
-            auto s = tracker.track(Phase::Sampling);
-            loader = std::make_unique<pygx::EdgeBatchLoader>(
-                pygx::makeSaintRwLoader(*sampler, rng,
-                                        batches_per_epoch,
-                                        cfg.numWorkers,
-                                        cfg.prefetchDepth,
-                                        &session));
-        }
-        for (int b = 0; b < batches_per_epoch; ++b) {
-            pygx::EdgeBatch batch;
-            {
-                auto s = tracker.track(Phase::Sampling);
-                auto got = loader->next();
-                GNNBENCH_CHECK(got.has_value(),
-                               "prefetch loader exhausted early");
-                batch = std::move(*got);
-            }
-            core::Tensor x = fetchFeatures(
-                ld.features, batch.nodes, cfg.mode,
-                cfg.preloadFeatures, cfg.prefetch,
-                prev_train_seconds, session, tracker,
-                batch.structureBytes(), &feat_region);
-            const auto sup =
-                localSupervision(batch.nodes, ld.labels, mask);
-            const auto t0 = session.snapshot();
-            {
-                auto s = tracker.track(Phase::Training);
-                inducedStepPygx(batch, std::move(x), sup, layer1,
-                                layer2, opt, ctx, es);
-            }
-            prev_train_seconds = device::Session::virtualSeconds(
-                t0, session.snapshot());
-        }
-        chargeWorkerSampling(tracker, *loader);
-        es.loss /= std::max<int64_t>(es.total, 1);
-        result.epochs.push_back(es);
-    }
-
-    TrainResult final = finalizeResult(Framework::Pygx, cfg.mode,
-                                       tracker, power::PowerSpec{});
-    final.epochs = std::move(result.epochs);
-    return final;
-}
+    int32_t roots;
+    int batchesPerEpoch;
+    typename B::SaintSampler sampler;
+};
 
 } // namespace
 
 TrainResult
 trainGraphSaint(const graph::Dataset &dataset, const TrainConfig &cfg)
 {
-    GNNBENCH_CHECK(cfg.mode == RunMode::CPU ||
-                       cfg.mode == RunMode::CPUGPU,
-                   "GraphSAINT supports CPU and CPUGPU modes only");
-    device::Session session;
-    profiling::PhaseTracker tracker(session);
-    if (cfg.framework == Framework::Dglx)
-        return runDglx(dataset, cfg, session, tracker);
-    return runPygx(dataset, cfg, session, tracker);
+    return train<Saint>(dataset, cfg);
 }
 
 } // namespace models

@@ -1,18 +1,16 @@
 /**
  * @file
- * The per-batch training step shared by the induced-subgraph models
- * (ClusterGCN and GraphSAINT): two GCN layers over the sampled
- * subgraph, NLL loss on the batch's training nodes, Adam update.
+ * What the induced-subgraph models (ClusterGCN and GraphSAINT) share:
+ * two GCN layers over each batch's sampled subgraph, NLL loss on the
+ * batch's training nodes only.
  */
 
 #ifndef GNNBENCH_MODELS_INDUCED_STEP_H
 #define GNNBENCH_MODELS_INDUCED_STEP_H
 
-#include "gnnbench/core/optim.h"
-#include "gnnbench/dglx/nn.h"
+#include <optional>
+
 #include "gnnbench/models/pipeline.h"
-#include "gnnbench/pygx/nn.h"
-#include "gnnbench/sampling/subgraph.h"
 
 namespace gnnbench {
 namespace models {
@@ -40,62 +38,6 @@ localSupervision(const std::vector<NodeId> &nodes,
     return sup;
 }
 
-/** One dglx training step over an induced subgraph. */
-inline void
-inducedStepDglx(const sampling::InducedSample &smp, core::Tensor x,
-                const BatchSupervision &sup, dglx::GcnConv &layer1,
-                dglx::GcnConv &layer2, core::Adam &opt,
-                const dglx::KernelCtx &ctx, EpochStats &stats)
-{
-    if (sup.lossRows.empty())
-        return;  // no supervised node sampled in this batch
-    namespace ag = core::ag;
-    // Per-subgraph normalization, recomputed per batch like both
-    // frameworks do on sampled subgraphs.
-    const std::vector<float> norm = dglx::computeGcnNorm(smp.adj);
-    const std::vector<float> self = dglx::computeSelfScale(smp.adj);
-    ag::Var xv = ag::leaf(std::move(x), false);
-    ag::Var h = layer1.forwardInduced(smp.adj, norm, self, xv, ctx);
-    h = ag::relu(h);
-    ag::Var out = layer2.forwardInduced(smp.adj, norm, self, h, ctx);
-    ag::Var lp = ag::logSoftmax(out);
-    stats.correct += core::ops::countCorrect(out->value, sup.labels,
-                                             sup.lossRows);
-    stats.total += static_cast<int64_t>(sup.lossRows.size());
-    ag::Var loss = ag::nllLoss(lp, sup.labels, sup.lossRows);
-    stats.loss += loss->value(0, 0) *
-                  static_cast<double>(sup.lossRows.size());
-    opt.zeroGrad();
-    ag::backward(loss);
-    opt.step();
-}
-
-/** One pygx training step over an induced edge batch. */
-inline void
-inducedStepPygx(const pygx::EdgeBatch &batch, core::Tensor x,
-                const BatchSupervision &sup, pygx::GcnConv &layer1,
-                pygx::GcnConv &layer2, core::Adam &opt,
-                const pygx::KernelCtx &ctx, EpochStats &stats)
-{
-    if (sup.lossRows.empty())
-        return;
-    namespace ag = core::ag;
-    ag::Var xv = ag::leaf(std::move(x), false);
-    ag::Var h = layer1.forwardBatch(batch, xv, ctx);
-    h = ag::relu(h);
-    ag::Var out = layer2.forwardBatch(batch, h, ctx);
-    ag::Var lp = ag::logSoftmax(out);
-    stats.correct += core::ops::countCorrect(out->value, sup.labels,
-                                             sup.lossRows);
-    stats.total += static_cast<int64_t>(sup.lossRows.size());
-    ag::Var loss = ag::nllLoss(lp, sup.labels, sup.lossRows);
-    stats.loss += loss->value(0, 0) *
-                  static_cast<double>(sup.lossRows.size());
-    opt.zeroGrad();
-    ag::backward(loss);
-    opt.step();
-}
-
 /** Dense train-membership mask from the dataset's train indices. */
 inline std::vector<bool>
 trainMask(NodeId num_nodes, const std::vector<NodeId> &train_idx)
@@ -105,6 +47,41 @@ trainMask(NodeId num_nodes, const std::vector<NodeId> &train_idx)
         mask[v] = true;
     return mask;
 }
+
+/**
+ * The part of the ClusterGCN and GraphSAINT model specs (driver.h)
+ * the two share; each adds its sampler and batches per epoch.
+ */
+template <typename B>
+struct InducedSpec
+{
+    using Conv = typename B::GcnConv;
+
+    InducedSpec(const typename B::Loaded &ld, NodeId num_nodes)
+        : mask(trainMask(num_nodes, ld.trainIdx))
+    {
+    }
+
+    static const std::vector<NodeId> &
+    inputNodes(const auto &batch)
+    {
+        return batch.nodes;
+    }
+
+    /** Supervision of the batch's training nodes; none sampled
+     *  means the batch trains nothing. */
+    std::optional<BatchSupervision>
+    supervision(const auto &batch,
+                const std::vector<int32_t> &labels) const
+    {
+        BatchSupervision sup = localSupervision(batch.nodes, labels, mask);
+        if (sup.lossRows.empty())
+            return std::nullopt;
+        return sup;
+    }
+
+    std::vector<bool> mask;
+};
 
 } // namespace models
 } // namespace gnnbench

@@ -180,6 +180,21 @@ TEST(Models, ConfigChecks)
     EXPECT_DEATH(trainClusterGcn(ds, bad2), "CPU and CPUGPU");
 }
 
+TEST(Models, GraphSageRejectsFanoutCountOtherThanTwo)
+{
+    // With three fanouts the second layer would run on the one-hop
+    // frontier instead of the seeds, so the loss would read labels
+    // past the batch.
+    graph::Dataset ds = tinyDataset();
+    for (auto fw : {Framework::Dglx, Framework::Pygx}) {
+        TrainConfig cfg = tinyConfig(fw, RunMode::CPU);
+        cfg.fanouts = {5, 5, 5};
+        EXPECT_EXIT(trainGraphSage(ds, cfg), ::testing::ExitedWithCode(1),
+                    "two fanouts")
+            << frameworkName(fw);
+    }
+}
+
 TEST(Models, BatchHelpers)
 {
     core::Rng rng(1);

@@ -231,6 +231,25 @@ TEST(Ops, CountCorrect)
     EXPECT_EQ(countCorrect(logits, {0, 1, 1}, {2}), 0);
 }
 
+TEST(Ops, LossOpsRejectLabelRowMismatch)
+{
+    // A label per logits row, and selected rows inside the logits:
+    // otherwise labels[r] is read out of bounds.
+    Tensor logits = make({{1, 0}, {0, 1}, {3, 2}});
+    EXPECT_EXIT(countCorrect(logits, {0, 1}, {}),
+                ::testing::ExitedWithCode(1), "2 labels for 3 rows");
+    EXPECT_EXIT(nllLoss(logits, {0, 1}, {}),
+                ::testing::ExitedWithCode(1), "2 labels for 3 rows");
+    EXPECT_EXIT(nllLossGrad(logits, {0, 1, 1, 0}, {}),
+                ::testing::ExitedWithCode(1), "4 labels for 3 rows");
+    EXPECT_EXIT(countCorrect(logits, {0, 1, 1}, {3}),
+                ::testing::ExitedWithCode(1), "row 3 out of range");
+    EXPECT_EXIT(nllLoss(logits, {0, 1, 1}, {-1}),
+                ::testing::ExitedWithCode(1), "row -1 out of range");
+    EXPECT_EXIT(nllLossGrad(logits, {0, 1, 1}, {0, 7}),
+                ::testing::ExitedWithCode(1), "row 7 out of range");
+}
+
 /** Property sweep: matmul associativity-ish check across shapes. */
 class MatmulShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>>

@@ -194,6 +194,32 @@ TEST(ParallelFor, UsableAgainAfterException)
     });
 }
 
+// A fatal error exits with code 1 once the pool's worker threads
+// exist: a forked death-test child has the pool object but not its
+// threads, so fatal() must not run the pool's destructor.
+TEST(ParallelFatal, ExitsCleanlyAfterPoolIsBuilt)
+{
+    withThreadCounts({4}, [](int) {
+        parallelFor(0, 64, 1, [](int64_t, int64_t) {});
+        EXPECT_EXIT(GNNBENCH_CHECK(false, "bad input after pool"),
+                    ::testing::ExitedWithCode(1),
+                    "bad input after pool");
+    });
+}
+
+TEST(ParallelFatal, ExitsCleanlyFromInsideParallelRegion)
+{
+    withThreadCounts({4}, [](int) {
+        parallelFor(0, 64, 1, [](int64_t, int64_t) {});
+        EXPECT_EXIT(parallelFor(0, 64, 1,
+                                [](int64_t b, int64_t) {
+                                    GNNBENCH_CHECK(b != 17, "chunk ", b,
+                                                   " rejected");
+                                }),
+                    ::testing::ExitedWithCode(1), "chunk 17 rejected");
+    });
+}
+
 TEST(BoundedQueue, FifoWithinCapacity)
 {
     BoundedQueue<int> q(4);
